@@ -101,7 +101,9 @@ def trace_serving_layers(tracer: Tracer, engine) -> None:
 
     tracer.wrap(RecommendationServer, "handle_single", "http.handler")
     tracer.wrap(RecommendationServer, "handle_batch", "http.handler")
-    tracer.wrap(type(engine), "recommend_batch", "serve.engine")
+    # The serving engine only: the online loop's shadow evaluation builds
+    # engines of its own.
+    tracer.wrap(engine, "recommend_batch", "serve.engine")
     tracer.keep_durations("http.handler")
     tracer.keep_durations("serve.engine")
 
@@ -239,13 +241,18 @@ def run_train(config: dict) -> None:
 # serve: `repro serve --port` (single engine or --workers N)
 # ----------------------------------------------------------------------
 def _start_server(engine):
+    """Serve ``engine`` from a daemon thread.
+
+    The listener is never shut down: it ends with the process, once the
+    benchmark has stopped sending.  ``shutdown()`` would only wait out
+    the listener's half-second poll, once per server start.
+    """
     from repro.serve import RecommendationServer
 
     server = RecommendationServer(engine, host="127.0.0.1", port=0,
                                   max_inflight=64)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server, thread
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
 
 
 def run_serve(config: dict) -> None:
@@ -256,7 +263,7 @@ def run_serve(config: dict) -> None:
         workers=config["workers"],
     )
     engine = serve_config.build_engine()
-    server, thread = _start_server(engine)
+    server = _start_server(engine)
     tracer = _tracer(config)
     if tracer is not None:
         trace_serving_layers(tracer, engine)
@@ -269,8 +276,6 @@ def run_serve(config: dict) -> None:
                 name = command.split(" ", 1)[1]
                 tracer.phase = None if name == "-" else name
     finally:
-        server.shutdown()
-        thread.join(timeout=10)
         engine.close()
     emit("RESULT", {"trace": _finish_trace(tracer)})
 
@@ -322,13 +327,14 @@ def run_online(config: dict) -> None:
             checkpoint_dir=os.path.join(store_dir, "rounds"),
         ),
     )
-    server, thread = _start_server(engine)
+    server = _start_server(engine)
     store = ModelVersionStore(store_dir, keep=8)
     loop = OnlineLoop(engine, trainer, stream, store, loop_config, server=server)
     tracer = _tracer(config)
     if tracer is not None:
         trace_training_layers(tracer)
         trace_online_layers(tracer)
+        trace_serving_layers(tracer, engine)
     emit("READY", str(server.address[1]))
     result = None
     try:
@@ -349,8 +355,6 @@ def run_online(config: dict) -> None:
                     "final_model_version": result.final_model_version,
                 })
     finally:
-        server.shutdown()
-        thread.join(timeout=10)
         engine.close()
     emit("RESULT", {"trace": _finish_trace(tracer)})
 

@@ -1,8 +1,8 @@
-"""The repository's end-to-end benchmark: one command, three workloads.
+"""The repository's end-to-end benchmark: one command, four workloads.
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload serve --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload serve --seed 1 --seconds 8 --trace 0
     python3 perfbench/run.py --workload all --seed 1
 
 Each workload's program runs in its own process (``perfbench/driver.py``),
@@ -12,9 +12,7 @@ started here; this process is the HTTP load generator and the checker.
 public calls and reports the per-layer metrics instead.  The last
 stdout line is one JSON object: ``correct``, ``attempted``, ``failed``
 and ``metrics``.  A failed correctness check exits 1; a checkout
-without the program exits 2 without a result.  ``--workload online``
-runs the online loop, which is not in BENCHMARK.json: its correctness
-check fails on the current program (see perfbench/README.md).
+without the program exits 2 without a result.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ sys.path[:0] = [ROOT, SRC]
 from perfbench import stats  # noqa: E402
 from perfbench.loadgen import get_json, run_open_loop  # noqa: E402
 
-WORKLOADS = ("train", "serve", "scale-out")
+WORKLOADS = ("train", "serve", "online", "scale-out")
 
 #: Every process the benchmark starts, and this one, runs BLAS on one
 #: thread: on a small machine unpinned BLAS threads compete with the
@@ -55,13 +53,19 @@ PINNED_ENV = {
     "PYTHONHASHSEED": "0",
 }
 
-#: Cold starts per run; setup_s is their median.
-SETUPS = 3
+#: Program starts per run; setup_s is the median of their spawn-to-ready
+#: times (a single start varies by a third from one to the next).
+SETUPS = 5
 #: Offered rate of the light phase (requests/s), and the ladder above it.
 LIGHT_RATE = 20.0
 LADDER = stats.ladder_rates(LIGHT_RATE * 1.6, 1.6, 1000.0)
-#: Unmeasured requests a fresh server answers before the light phase.
+#: After the first failing rung the search bisects the last step until
+#: it is at most this ratio, so the reported rate resolves a 7% change.
+LADDER_RESOLUTION = 1.07
+#: Unmeasured requests a fresh server answers before the light phase,
+#: and the rate they are sent at.
 WARMUP_REQUESTS = 20
+WARMUP_RATE = 50.0
 #: Requests per ladder rung: the fewest that support a p95.
 RUNG_REQUESTS = stats.min_samples(95.0)
 #: A rate is sustained when p95 from due time stays within the limit,
@@ -69,7 +73,7 @@ RUNG_REQUESTS = stats.min_samples(95.0)
 LATENCY_LIMIT_S = 0.100
 MAX_FAIL_RATIO = 0.001
 BACKLOG_THRESHOLD_S = LATENCY_LIMIT_S / 2
-ABORT_BEHIND_S = 1.0
+ABORT_BEHIND_S = 0.5
 #: The generator's connections (and threads): at most the core count.
 CLIENT_THREADS = max(1, min(2, len(os.sched_getaffinity(0))))
 TOP_K = 10
@@ -396,22 +400,23 @@ def rung_verdict(outcomes, aborted: bool) -> bool:
         MAX_FAIL_RATIO, BACKLOG_THRESHOLD_S)
 
 
-def ladder(port: int, events) -> tuple[list, list]:
-    """Run rungs up the ladder until one fails; (verdicts, outcomes)."""
-    verdicts, outcomes = [], []
-    for rate in LADDER:
+def ladder(port: int, events) -> tuple[float, list]:
+    """The highest sustained rate above the light one, and every rung's outcomes."""
+    outcomes = []
+
+    def probe(rate: float) -> bool:
         rung, aborted = run_open_loop(
             "127.0.0.1", port, events, rate, threads=CLIENT_THREADS,
             count=RUNG_REQUESTS, abort_behind_s=ABORT_BEHIND_S)
         passed = rung_verdict(rung, aborted)
-        verdicts.append((rate, passed))
         outcomes.extend(rung)
         log(f"  ladder {rate:7.1f} req/s: {'pass' if passed else 'FAIL'} "
             f"(p95 {stats.percentile(phase_latencies(rung), 95.0) * 1e3:.1f} ms"
             f"{', aborted' if aborted else ''})")
-        if not passed:
-            break
-    return verdicts, outcomes
+        return passed
+
+    best, __ = stats.search_max_rate(LIGHT_RATE, LADDER, LADDER_RESOLUTION, probe)
+    return best, outcomes
 
 
 def light_summary(outcomes) -> dict:
@@ -621,8 +626,8 @@ def run_training(run: Run, seed: int, seconds: int, trace: bool,
     return out
 
 
-def run_serving(run: Run, seed: int, seconds: int, trace: bool, workers: int,
-                workdir: str, ladder_on: bool) -> dict:
+def run_serving(run: Run, seed: int, trace: bool, workers: int, workdir: str,
+                ladder_on: bool) -> dict:
     """Light-rate latency pooled over ``SETUPS`` fresh servers, then the ladder.
 
     Each server process is timed from spawn to ``/health``, warmed with
@@ -636,9 +641,11 @@ def run_serving(run: Run, seed: int, seconds: int, trace: bool, workers: int,
     config = {"seed": seed, "workers": workers, "checkpoint": checkpoint,
               "trace": trace}
     events = traffic(seed, dataset, 50000)
-    # The light phase takes half of --seconds; the ladder about the rest.
-    share = math.ceil(max(RUNG_REQUESTS, seconds / 2 * LIGHT_RATE) / SETUPS)
-    setups, light, verdicts, rungs, rss = [], [], [], [], 0.0
+    # The light phase is the ladder's floor, so it needs a p95; without
+    # a ladder a p90 (and the p50) is enough.
+    light_requests = RUNG_REQUESTS if ladder_on else stats.min_samples(90.0)
+    share = math.ceil(light_requests / SETUPS)
+    setups, light, rungs, rss, best = [], [], [], 0.0, 0.0
     windows, traces = [], []
     for index in range(SETUPS):
         child, port, ready = start("serve", config, server=True)
@@ -646,7 +653,8 @@ def run_serving(run: Run, seed: int, seconds: int, trace: bool, workers: int,
         sampler = RssSampler(child.proc.pid)
         last = index == SETUPS - 1
         try:
-            light_phase(port, events, WARMUP_REQUESTS)
+            run_open_loop("127.0.0.1", port, events, WARMUP_RATE,
+                          threads=CLIENT_THREADS, count=WARMUP_REQUESTS)
             before = get_json("127.0.0.1", port, "/metrics")
             child.send("phase light")
             started = time.perf_counter()
@@ -654,7 +662,7 @@ def run_serving(run: Run, seed: int, seconds: int, trace: bool, workers: int,
             child.send("phase -")
             snapshot = get_json("127.0.0.1", port, "/metrics")
             if last and ladder_on:
-                verdicts, rungs = ladder(port, events)
+                best, rungs = ladder(port, events)
             after = get_json("127.0.0.1", port, "/metrics")
             wall = time.perf_counter() - started
             rss = max(rss, sampler.stop())
@@ -667,8 +675,8 @@ def run_serving(run: Run, seed: int, seconds: int, trace: bool, workers: int,
         traces.append(result["trace"])
     outcomes = light + rungs
     summary = light_summary(light)
-    light_pass = rung_verdict(light, False)
-    max_rate = stats.max_passing_rate([(LIGHT_RATE, light_pass)] + verdicts)
+    # The light rate is the ladder's floor: when it fails nothing passes.
+    max_rate = best if rung_verdict(light, False) else 0.0
 
     from repro.serve import ServeConfig
 
@@ -722,7 +730,7 @@ def workload_train(run: Run, seed, seconds, trace, workdir) -> None:
 
 
 def workload_serve(run: Run, seed, seconds, trace, workdir) -> None:
-    out = run_serving(run, seed, seconds, trace, 0, workdir, ladder_on=True)
+    out = run_serving(run, seed, trace, 0, workdir, ladder_on=True)
     run.metrics = {
         "setup_s": statistics.median(out["setups"]),
         "peak_rss_mb": out["rss_mb"],
@@ -734,13 +742,24 @@ def workload_serve(run: Run, seed, seconds, trace, workdir) -> None:
 def workload_scale_out(run: Run, seed, seconds, trace, workdir) -> None:
     # Only the final eval pass: here it guards quality; its speed is train's.
     train = run_training(run, seed, seconds, trace, 2, workdir, False, 0)
-    serve = run_serving(run, seed, seconds, trace, 2, workdir, ladder_on=False)
+    serve = run_serving(run, seed, trace, 2, workdir, ladder_on=False)
     run.metrics = {
         "setup_s": statistics.median(serve["setups"]),
         "peak_rss_mb": max(train["rss_mb"], serve["rss_mb"]),
         "throughput_per_s": train["train_seq_per_s"],
         "latency_p50_ms": serve["light"]["p50_ms"],
     }
+
+
+#: The online loop's stages, per round (total time: a stage's own
+#: training steps are traced too).
+ONLINE_LAYERS = {
+    "online.ingest_s": "online.ingest",
+    "online.finetune_s": "online.finetune",
+    "online.shadow_s": "online.shadow",
+    "online.publish_s": "online.publish",
+    "online.swap_s": "online.swap",
+}
 
 
 def workload_online(run: Run, seed, seconds, trace, workdir) -> None:
@@ -807,23 +826,18 @@ def workload_online(run: Run, seed, seconds, trace, workdir) -> None:
         phase = result["trace"]["phases"].get("online", {})
         layers = training_layers(phase)
         n = len(rounds["durations"])
-        online = {
-            "online.ingest_s": "online.ingest",
-            "online.finetune_s": "online.finetune",
-            "online.shadow_s": "online.shadow",
-            "online.publish_s": "online.publish",
-            "online.swap_s": "online.swap",
-        }
-        for metric, span in online.items():
+        for metric, span in ONLINE_LAYERS.items():
             layers[metric] = phase.get(span, {}).get("total_s", 0.0) / n
         layers["online.publish_bytes"] = (
             phase.get("online.publish_bytes", {}).get("count", 0.0)
             / max(phase.get("online.publish", {}).get("calls", 0), 1))
         layers["online.round_s"] = round_s
         layers["online.residual_s"] = stats.residual(
-            round_s, [layers[m] for m in online])
+            round_s, [layers[m] for m in ONLINE_LAYERS])
         calls = sum(v.get("calls", 0) for v in phase.values())
-        layers.update(serving_layers(summary, [(before, after)], [], "online"))
+        layers.update(serving_layers(summary, [(before, after)],
+                                     [result["trace"]], "online"))
+        layers.pop("serve.shard_ipc_ms", None)
         run.layers.update(layers)
         run.traced(100.0 * calls * result["trace"]["span_cost_s"]
                    / sum(rounds["durations"]), result["trace"]["spans"])
@@ -914,10 +928,10 @@ def report(name: str, run: Run, definition: dict, trace: bool) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=WORKLOADS + ("online", "all"),
+    parser.add_argument("--workload", choices=WORKLOADS + ("all",),
                         required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=15)
+    parser.add_argument("--seconds", type=int, default=8)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if not os.path.isfile(os.path.join(SRC, "repro", "__init__.py")):

@@ -108,19 +108,36 @@ def ladder_rates(start: float, factor: float, ceiling: float) -> list[float]:
     return rates
 
 
-def max_passing_rate(verdicts) -> float:
-    """Highest rate before the first failing rung; 0.0 if the first fails.
+def search_max_rate(floor: float, rates, resolution: float, probe):
+    """Highest sustained rate: climb the ladder, then bisect its last step.
 
-    ``verdicts`` are ``(rate, passed)`` pairs in ascending rate order.
-    The ladder stops at its first failure, so a later pass (which a
-    stopped ladder never runs) would not count either.
+    ``floor`` is a rate already known to pass; ``probe(rate)`` runs one
+    rung and returns whether it passed.  The search climbs ``rates``
+    until a rung fails, then probes the geometric midpoint between the
+    highest pass and the lowest failure until their ratio is at most
+    ``resolution``, so the result is within that factor of the true
+    limit.  Returns ``(max_rate, [(rate, passed), ...])``.
     """
-    best = 0.0
-    for rate, passed in verdicts:
-        if not passed:
+    if resolution <= 1:
+        raise ValueError("resolution must be a ratio above 1")
+    verdicts = []
+    passed, failed = floor, None
+    for rate in rates:
+        ok = probe(rate)
+        verdicts.append((rate, ok))
+        if not ok:
+            failed = rate
             break
-        best = rate
-    return best
+        passed = rate
+    while failed is not None and failed / passed > resolution:
+        rate = math.sqrt(passed * failed)
+        ok = probe(rate)
+        verdicts.append((rate, ok))
+        if ok:
+            passed = rate
+        else:
+            failed = rate
+    return passed, verdicts
 
 
 def residual(total: float, parts) -> float:

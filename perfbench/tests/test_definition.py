@@ -62,3 +62,4 @@ def test_training_layer_names_are_declared(definition):
 
     declared = {m["name"] for m in definition["per_layer"]}
     assert set(run.TRAIN_LAYERS) <= declared
+    assert set(run.ONLINE_LAYERS) <= declared

@@ -98,11 +98,37 @@ def test_ladder_rates_are_geometric_and_capped():
         stats.ladder_rates(10.0, 1.0, 100.0)
 
 
-def test_max_rate_stops_at_the_first_failure():
-    verdicts = [(20, True), (32, True), (51.2, False), (81.9, True)]
-    assert stats.max_passing_rate(verdicts) == 32
-    assert stats.max_passing_rate([(20, False), (32, True)]) == 0.0
-    assert stats.max_passing_rate([(20, True), (32, True)]) == 32
+def _capacity(limit, seen):
+    def probe(rate):
+        seen.append(rate)
+        return rate <= limit
+    return probe
+
+
+@pytest.mark.parametrize("limit", [21.0, 33.0, 45.0, 50.0, 80.0])
+def test_search_resolves_the_limit_within_its_resolution(limit):
+    seen = []
+    best, verdicts = stats.search_max_rate(
+        20.0, stats.ladder_rates(32.0, 1.6, 1000.0), 1.07, _capacity(limit, seen))
+    assert best <= limit < best * 1.07
+    assert [rate for rate, __ in verdicts] == seen
+    assert all(ok == (rate <= limit) for rate, ok in verdicts)
+
+
+def test_search_climbs_no_further_than_the_first_failure():
+    seen = []
+    stats.search_max_rate(20.0, [32.0, 51.2, 81.92], 1.07, _capacity(45.0, seen))
+    assert seen[:2] == [32.0, 51.2] and 81.92 not in seen
+    # Every probe after the climb lies inside the last step.
+    assert all(32.0 < rate < 51.2 for rate in seen[2:])
+
+
+def test_search_keeps_the_top_rung_when_nothing_fails():
+    best, verdicts = stats.search_max_rate(
+        20.0, [32.0, 51.2], 1.07, _capacity(1e9, []))
+    assert best == 51.2 and verdicts == [(32.0, True), (51.2, True)]
+    with pytest.raises(ValueError):
+        stats.search_max_rate(20.0, [32.0], 1.0, _capacity(1e9, []))
 
 
 # -- residual arithmetic ------------------------------------------------

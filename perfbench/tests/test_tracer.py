@@ -100,6 +100,19 @@ def test_restore_puts_the_originals_back():
     assert Layers.outer is original
 
 
+def test_an_instance_patch_traces_only_that_instance():
+    clock = FakeClock()
+    tracer = Tracer(clock)
+    mine, other = Layers(clock), Layers(clock)
+    tracer.wrap(mine, "inner", "inner")
+    tracer.phase = "p"
+    mine.inner()
+    other.inner()
+    assert tracer.summary()["phases"]["p"]["inner"]["calls"] == 1
+    tracer.restore()
+    assert "inner" not in vars(mine)
+
+
 def test_spans_nest_per_thread():
     tracer = Tracer()
     tracer.phase = "serve"

@@ -76,15 +76,19 @@ class Tracer:
              after=None) -> None:
         """Replace ``owner.attr`` with a version that records a span.
 
+        ``owner`` is a class, a module or a single instance.
+
         ``iterate`` times each step of the iterator the call returns
         (a generator's work happens there, not in the call).  ``after``
         receives ``(result, args, kwargs)`` once a span closes, to
         count bytes or items.
         """
         original = getattr(owner, attr)
-        # What to put back: the class's own attribute, or nothing when
-        # the method is inherited (then the patch is deleted).
-        own = owner.__dict__.get(attr) if isinstance(owner, type) else original
+        # What to put back: the owner's own attribute, or nothing when it
+        # is inherited or (for an instance) comes from the class; then
+        # the patch is deleted.  Patching one instance leaves every other
+        # instance of its class untraced.
+        own = vars(owner).get(attr)
         tracer = self
 
         if iterate:
