@@ -140,6 +140,19 @@ def search_max_rate(floor: float, rates, resolution: float, probe):
     return passed, verdicts
 
 
+def delivered_rate(sent_s, done_s) -> float:
+    """Responses per second a rung delivered: completions over its span.
+
+    ``sent_s`` and ``done_s`` are the send and completion times of the
+    rung's answered requests; the span runs from the first send to the
+    last completion.  Unlike the offered rate it is measured, so it
+    differs from run to run even when the same rung passes.
+    """
+    if not done_s:
+        raise ValueError("a rung without answered requests delivered nothing")
+    return len(done_s) / (max(done_s) - min(sent_s))
+
+
 def residual(total: float, parts) -> float:
     """What ``total`` leaves unattributed after subtracting ``parts``."""
     return total - math.fsum(parts)

@@ -131,6 +131,17 @@ def test_search_keeps_the_top_rung_when_nothing_fails():
         stats.search_max_rate(20.0, [32.0], 1.0, _capacity(1e9, []))
 
 
+def test_delivered_rate_spans_first_send_to_last_completion():
+    # 5 requests sent 0.1 s apart, each answered 0.02 s later: 5 / 0.42 s.
+    sent = [i * 0.1 for i in range(5)]
+    done = [t + 0.02 for t in sent]
+    assert stats.delivered_rate(sent, done) == pytest.approx(5 / 0.42)
+    # A slower last answer stretches the span, so the rate drops.
+    assert stats.delivered_rate(sent, done[:-1] + [0.5]) == pytest.approx(10.0)
+    with pytest.raises(ValueError):
+        stats.delivered_rate([], [])
+
+
 # -- residual arithmetic ------------------------------------------------
 def test_residual_is_what_parts_leave_over():
     assert stats.residual(10.0, [2.5, 3.5]) == pytest.approx(4.0)
