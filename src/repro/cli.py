@@ -770,10 +770,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="data-parallel training workers: 0 (default) keeps the "
-        "single-process loops byte-compatible with the golden fixtures; "
-        "N >= 1 trains through repro.train.parallel — bit-reproducible "
-        "at a fixed worker count (see docs/SCALING.md 'Training at scale')",
+        help="data-parallel training workers: 0 (default) trains in-process, "
+        "byte-compatible with the golden fixtures; N >= 1 forks N gradient "
+        "workers — bit-reproducible at a fixed worker count (see "
+        "docs/SCALING.md 'Training at scale')",
     )
     _add_scale_arguments(p_tr)
 
@@ -1152,7 +1152,7 @@ def _run_train(args: argparse.Namespace) -> int:
     model.cl_config.joint.dtype = args.dtype
     model.cl_config.pretrain.dtype = args.dtype
     model.cl_config.sasrec.train.dtype = args.dtype
-    # And the data-parallel worker count (0 = single-process loops).
+    # And the data-parallel worker count (0 = in-process).
     model.cl_config.joint.workers = args.workers
     model.cl_config.pretrain.workers = args.workers
     model.cl_config.sasrec.train.workers = args.workers

@@ -331,7 +331,11 @@ class ContrastiveBatchLoader:
 
     @property
     def num_batches(self) -> int:
-        return int(np.ceil(len(self._users) / self.batch_size))
+        """Batches :meth:`epoch` yields: chunks of one user are skipped."""
+        if self.batch_size < 2:
+            return 0
+        full, tail = divmod(len(self._users), self.batch_size)
+        return full + (tail >= 2)
 
     def epoch(self) -> Iterator[ContrastiveBatch]:
         """One shuffled pass; each user contributes one positive pair."""

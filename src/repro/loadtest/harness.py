@@ -65,7 +65,8 @@ class LoadTestConfig:
     #: Stamp a deadline budget onto every payload when set.
     deadline_ms: float | None = None
     #: Open-loop pacing: honour the trace's ``arrival_s`` stamps
-    #: (divided by ``pace_speedup``) instead of going flat out.
+    #: (divided by ``pace_speedup``) instead of going flat out; each
+    #: latency then runs from the event's due time, not its send.
     pace: bool = False
     pace_speedup: float = 1.0
 
@@ -334,12 +335,14 @@ def _replay_thread(
                 status=0, latency_s=0.0, sequences=len(payloads),
             )
             encoded = json.dumps(body).encode("utf-8")
-            started = time.perf_counter()
+            # Paced (open-loop) latency runs from the due time, so a
+            # request held up behind a stall carries the wait.
+            started = due if config.pace else time.monotonic()
             try:
                 conn.request("POST", path, body=encoded, headers=headers)
                 response = conn.getresponse()
                 raw = response.read()
-                outcome.latency_s = time.perf_counter() - started
+                outcome.latency_s = time.monotonic() - started
                 outcome.status = response.status
                 parsed = json.loads(raw.decode("utf-8"))
                 if response.status == 200:
@@ -347,7 +350,7 @@ def _replay_thread(
                 else:
                     outcome.refusal_reason = parsed.get("reason")
             except Exception as error:  # noqa: BLE001 — recorded, judged later
-                outcome.latency_s = time.perf_counter() - started
+                outcome.latency_s = time.monotonic() - started
                 outcome.transport_error = f"{type(error).__name__}: {error}"
                 conn.close()
                 conn = HTTPConnection(host, port, timeout=config.timeout_s)

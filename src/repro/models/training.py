@@ -4,30 +4,23 @@ Implements the paper's fine-tuning regime: Adam with linear lr decay,
 mini-batches of user sequences, the masked next-item BCE objective, and
 early stopping on validation HR@10.
 
-The loop optionally threads a
-:class:`repro.runtime.resume.TrainingRuntime` for crash-safe periodic
-checkpoints, bit-exact resume (including the early-stopping counters
-and the best-validation parameters), and divergence rollback.
+The loop is the one epoch driver (:func:`repro.train.driver.fit`); it
+optionally threads a :class:`repro.runtime.resume.TrainingRuntime` for
+crash-safe periodic checkpoints, bit-exact resume (including the
+early-stopping counters and the best-validation parameters), and
+divergence rollback.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.loaders import (
-    NextItemBatch,
-    NextItemBatchLoader,
-    PopularityNegativeSampler,
-)
-from repro.data.pipeline import batch_stream
 from repro.data.preprocessing import SequenceDataset
-from repro.eval.evaluator import Evaluator
-from repro.nn import precision
-from repro.nn.optim import Adam, GradientClipper, LinearDecaySchedule
+from repro.train.driver import TrainingHistory, fit
+
+__all__ = ["TrainConfig", "TrainingHistory", "train_next_item_model"]
 
 
 @dataclass
@@ -60,22 +53,12 @@ class TrainConfig:
     # throughput at ~1e-3 relative loss accuracy — see
     # docs/PERFORMANCE.md ("Compute core") for when it is safe.
     dtype: str | None = None
-    # Data-parallel worker processes: 0 keeps this single-process loop
-    # (bit-compatible with the golden fixtures); N >= 1 trains through
-    # repro.train.parallel — deterministic at fixed N, but a different
-    # sample than workers=0 (see docs/SCALING.md "Training at scale").
+    # Data-parallel worker processes: 0 trains in-process (the pool of
+    # one, bit-compatible with the golden fixtures); N >= 1 forks N
+    # workers — deterministic at fixed N, but a different sample than
+    # workers=0 (see docs/SCALING.md "Training at scale").
     workers: int = 0
     seed: int = 0
-
-
-@dataclass
-class TrainingHistory:
-    """Per-epoch training losses and validation scores."""
-
-    losses: list[float] = field(default_factory=list)
-    valid_scores: list[float] = field(default_factory=list)
-    best_epoch: int = -1
-    stopped_early: bool = False
 
 
 def train_next_item_model(
@@ -103,160 +86,12 @@ def train_next_item_model(
     per epoch (loss, mean grad norm, sequences/sec, wall time) plus an
     ``eval`` event for every mid-training validation pass.
     """
-    if getattr(config, "workers", 0):
-        from repro.train.parallel import train_next_item_parallel
-
-        return train_next_item_parallel(
-            model, dataset, config, rng=rng, runtime=runtime, obs=obs
-        )
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    sampler = None
-    if config.negative_alpha > 0:
-        sampler = PopularityNegativeSampler.from_sequences(
-            dataset.train_sequences,
-            dataset.num_items,
-            rng,
-            alpha=config.negative_alpha,
-        )
-    loader = NextItemBatchLoader(
-        dataset,
-        config.max_length,
-        config.batch_size,
-        rng,
-        negative_sampler=sampler,
-        pipeline=config.pipeline,
-        obs=obs,
-    )
-    # Cast before the optimizer is created so Adam's zeros_like moment
-    # buffers inherit the training dtype.
-    dtype = precision.resolve_dtype(config.dtype)
-    model.to_dtype(dtype)
-    optimizer = Adam(model.parameters(), lr=config.learning_rate)
-    schedule = LinearDecaySchedule(
-        optimizer,
-        total_steps=max(1, config.epochs * loader.num_batches),
-        final_factor=config.lr_final_factor,
-    )
-    clipper = GradientClipper(optimizer.params, config.clip_norm)
     history = TrainingHistory()
-
-    evaluator = None
-    if config.eval_every > 0:
-        evaluator = Evaluator(dataset, split="valid")
-    # Early-stopping state lives in checkpoint-friendly containers so a
-    # resumed run continues the patience countdown where it stopped.
-    stop_state = {
-        "best_metric": -np.inf,
-        "epochs_since_best": 0.0,
-        "best_epoch": -1.0,
-        "stopped_early": 0.0,
-    }
-    aux: dict[str, dict[str, np.ndarray]] = {}
-
-    start_epoch = 0
-    if runtime is not None:
-        from repro.core.trainer import _runtime_rngs
-
-        start_epoch = runtime.start(
-            model=model,
-            optimizer=optimizer,
-            schedule=schedule,
-            rngs=_runtime_rngs(model, rng),
-            history={
-                "losses": history.losses,
-                "valid_scores": history.valid_scores,
-            },
-            extras=stop_state,
-            aux=aux,
-        )
-        history.best_epoch = int(stop_state["best_epoch"])
-        if stop_state["stopped_early"]:
-            # The interrupted run had already early-stopped; don't train on.
-            history.stopped_early = True
-            start_epoch = config.epochs
-    best_state: dict | None = aux.get("best") or None
-
-    model.train()
-    with precision.precision(dtype), (
-        runtime.session() if runtime is not None else nullcontext()
-    ):
-        for epoch in range(start_epoch, config.epochs):
-            if runtime is not None:
-                runtime.begin_epoch(epoch)
-            epoch_started = time.perf_counter()
-            epoch_loss = 0.0
-            batches = 0
-            grad_norm_sum, sequences = 0.0, 0
-            with batch_stream(
-                loader.epoch(), config.pipeline, obs=obs
-            ) as epoch_batches:
-                for batch in epoch_batches:
-                    loss = model.sequence_loss(batch)
-                    loss_value = loss.item()
-                    optimizer.zero_grad()
-                    loss.backward()
-                    grad_norm = clipper.clip()
-                    if runtime is not None:
-                        loss_value = runtime.intercept_loss(loss_value)
-                        if not runtime.allow_update(loss_value, grad_norm):
-                            optimizer.zero_grad()
-                            runtime.after_step()
-                            continue
-                    optimizer.step()
-                    schedule.step()
-                    epoch_loss += loss_value
-                    grad_norm_sum += grad_norm
-                    sequences += len(batch.users)
-                    batches += 1
-                    if runtime is not None:
-                        runtime.after_step()
-            history.losses.append(epoch_loss / max(1, batches))
-            if obs is not None:
-                from repro.core.trainer import _emit_epoch
-
-                _emit_epoch(
-                    obs,
-                    "train_epoch",
-                    stage="supervised",
-                    epoch=epoch,
-                    loss=history.losses[-1],
-                    batches=batches,
-                    sequences=sequences,
-                    grad_norm_sum=grad_norm_sum,
-                    seconds=time.perf_counter() - epoch_started,
-                    lr=optimizer.lr,
-                )
-
-            stop = False
-            if evaluator is not None and (epoch + 1) % config.eval_every == 0:
-                model.eval()
-                result = evaluator.evaluate(
-                    model, max_users=config.max_eval_users, obs=obs
-                )
-                model.train()
-                score = result[config.early_stopping_metric]
-                history.valid_scores.append(score)
-                if score > stop_state["best_metric"]:
-                    stop_state["best_metric"] = score
-                    stop_state["best_epoch"] = float(epoch)
-                    stop_state["epochs_since_best"] = 0.0
-                    best_state = model.state_dict()
-                    aux["best"] = best_state
-                    history.best_epoch = epoch
-                else:
-                    stop_state["epochs_since_best"] += 1.0
-                    if stop_state["epochs_since_best"] >= config.patience:
-                        history.stopped_early = True
-                        stop_state["stopped_early"] = 1.0
-                        stop = True
-            if runtime is not None:
-                runtime.end_epoch(epoch)
-            if stop:
-                break
-    if runtime is not None:
-        runtime.finalize()
-
-    if best_state is not None:
-        model.load_state_dict(best_state)
-    model.eval()
+    stop = fit(
+        "next_item", model, dataset, config,
+        {"losses": history.losses, "valid_scores": history.valid_scores},
+        rng=rng, runtime=runtime, obs=obs,
+    )
+    history.best_epoch = int(stop["best_epoch"])
+    history.stopped_early = bool(stop["stopped_early"])
     return history

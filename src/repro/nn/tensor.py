@@ -29,6 +29,7 @@ Design notes
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -38,29 +39,36 @@ from repro.obs import profiling as _profiling
 
 Arrayish = Union["Tensor", np.ndarray, float, int, list, tuple]
 
-_GRAD_ENABLED = True
+class _GradMode(threading.local):
+    """Per-thread graph-recording switch (on in every new thread)."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables graph construction.
+    """Context manager that disables graph construction in this thread.
 
     Used for evaluation loops where gradients are not needed; inside the
     block every operation produces constant tensors, which keeps memory
-    flat during full-ranking evaluation.
+    flat during full-ranking evaluation.  The switch is per thread, so a
+    serving thread scoring under ``no_grad()`` never turns graph
+    recording off under a training thread.
     """
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_MODE.enabled = previous
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED
+    """Return whether operations in this thread record the autograd graph."""
+    return _GRAD_MODE.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -243,7 +251,7 @@ class Tensor:
         backward: Callable[[np.ndarray], Iterable[tuple["Tensor", np.ndarray | None]]],
     ) -> "Tensor":
         """Create an op result, recording the graph only when needed."""
-        if _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents):
+        if _GRAD_MODE.enabled and any(p.requires_grad or p._parents for p in parents):
             return Tensor(data, _parents=tuple(parents), _backward=backward)
         return Tensor(data)
 

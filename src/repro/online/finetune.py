@@ -50,9 +50,9 @@ class FineTuneConfig:
     #: None adopts the model's current parameter dtype, so a float32
     #: checkpoint keeps fine-tuning in float32.
     dtype: str | None = None
-    #: Data-parallel training workers per round (0 = single-process);
+    #: Data-parallel training workers per round (0 = in-process);
     #: threaded straight into the round's Joint/TrainConfig, so online
-    #: rounds fine-tune through ``repro.train.parallel`` too.
+    #: rounds fine-tune on the same worker pool as ``repro train``.
     workers: int = 0
     #: Round-scoped TrainingRuntime checkpoints land under
     #: ``<checkpoint_dir>/round-NNNN``; None disables mid-round

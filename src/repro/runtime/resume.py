@@ -171,7 +171,9 @@ class TrainingRuntime:
     ) -> int:
         """Bind the live training state and attempt resume.
 
-        ``history`` maps names to the loop's live metric lists (mutated
+        ``rngs`` are the generators a bit-exact resume must restore
+        (duplicates and ``None`` entries are skipped), ``history`` maps
+        names to the loop's live metric lists (mutated
         in place on restore), ``extras`` is a dict of scalar loop state
         (early-stopping counters, ...), ``aux`` holds named groups of
         extra arrays (e.g. the best-validation model state).  Returns
@@ -180,11 +182,7 @@ class TrainingRuntime:
         self._model = model
         self._optimizer = optimizer
         self._schedule = schedule
-        deduped: list[np.random.Generator] = []
-        for rng in rngs:
-            if all(rng is not seen for seen in deduped):
-                deduped.append(rng)
-        self._rngs = deduped
+        self._rngs = list({id(rng): rng for rng in rngs if rng is not None}.values())
         self._history = dict(history or {})
         self._extras = extras
         self._aux = aux

@@ -31,12 +31,14 @@ it, exactly once; workers only ever *attach* and ``close()``.  Model
 swaps publish a brand-new segment and retire the old one after every
 worker acknowledged the switch — a segment is never written again once
 workers can see it, so torn reads are impossible (worker views are
-read-only ndarrays; a stray write raises instead of corrupting).
+read-only ndarrays; a stray write raises instead of corrupting).  The
+worker processes themselves (spawn, death-aware send/recv, shutdown)
+run on :class:`repro.core.procpool.ProcessPool`, shared with
+data-parallel training.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
@@ -45,6 +47,7 @@ from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 
+from repro.core.procpool import ProcessPool, send_error, serve_commands
 from repro.core.shm import SharedArrays, adopt_parameters, allocate_segment
 from repro.retrieval import INDEX_KINDS
 from repro.retrieval.exact import ExactIndex
@@ -185,78 +188,50 @@ def _worker_main(conn, spec: dict) -> None:
         engine.checkpoint_path = spec["checkpoint_path"]
         engine.metrics.set_gauge("model_version", engine.model_version)
     except BaseException as error:  # surface startup failures to the parent
-        _send_error(conn, error)
+        send_error(conn, error)
         conn.close()
         return
 
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            break
-        command = message[0]
-        try:
-            if command == "recommend":
-                __, requests, started = message
-                results = engine.recommend_batch(
-                    requests, started=started, on_error="report"
-                )
-                conn.send(("ok", [_result_payload(r) for r in results]))
-            elif command == "swap":
-                __, meta, checkpoint, version, step = message
-                new_state = SharedModelState.attach(meta)
-                _adopt_shared_weights(model, new_state.weight_views())
-                engine.index = engine.index.rebuild(new_state.matrix)
-                engine.invalidate_cache()
-                engine.model_version = version
-                engine.checkpoint_path = checkpoint
-                # The frontend counts the swap (merged counters *add*,
-                # so a per-worker increment would multiply one swap by
-                # the worker count); workers only publish the gauge.
-                engine.metrics.set_gauge("model_version", version)
-                old, shared = shared, new_state
-                old.close()
-                conn.send(("ok", {"model_version": version, "step": step}))
-            elif command == "metrics":
-                conn.send(("ok", engine.metrics.state(sample_cap=message[1])))
-            elif command == "invalidate":
-                engine.invalidate_cache()
-                conn.send(("ok", None))
-            elif command == "warm":
-                conn.send(("ok", engine.warm(np.asarray(message[1]))))
-            elif command == "set_faults":
-                engine.faults = message[1]
-                conn.send(("ok", None))
-            elif command == "stats":
-                conn.send(("ok", {
-                    "pid": os.getpid(),
-                    "cache_entries": len(engine.cache),
-                    "cache_size": engine.cache.maxsize,
-                    "model_version": engine.model_version,
-                    "generation": shared.generation,
-                }))
-            elif command == "shutdown":
-                conn.send(("ok", None))
-                break
-            else:
-                conn.send(("error", ValueError(f"unknown command {command!r}")))
-        except BaseException as error:
-            _send_error(conn, error)
+    def recommend(requests, started):
+        results = engine.recommend_batch(requests, started=started, on_error="report")
+        return [_result_payload(result) for result in results]
 
+    def swap(meta, checkpoint, version, step):
+        nonlocal shared
+        new_state = SharedModelState.attach(meta)
+        _adopt_shared_weights(model, new_state.weight_views())
+        engine.index = engine.index.rebuild(new_state.matrix)
+        engine.invalidate_cache()
+        engine.model_version = version
+        engine.checkpoint_path = checkpoint
+        # The frontend counts the swap (merged counters *add*, so a
+        # per-worker increment would multiply one swap by the worker
+        # count); workers only publish the gauge.
+        engine.metrics.set_gauge("model_version", version)
+        old, shared = shared, new_state
+        old.close()
+        return {"model_version": version, "step": step}
+
+    def set_faults(faults):
+        engine.faults = faults
+
+    def stats():
+        return {"pid": os.getpid(), "cache_entries": len(engine.cache),
+                "cache_size": engine.cache.maxsize,
+                "model_version": engine.model_version,
+                "generation": shared.generation}
+
+    serve_commands(conn, {
+        "recommend": recommend,
+        "swap": swap,
+        "metrics": lambda cap: engine.metrics.state(sample_cap=cap),
+        "invalidate": engine.invalidate_cache,
+        "warm": lambda users: engine.warm(np.asarray(users)),
+        "set_faults": set_faults,
+        "stats": stats,
+    })
     shared.close()
     conn.close()
-
-
-def _send_error(conn, error: BaseException) -> None:
-    """Ship an exception to the parent, degrading to a plain message."""
-    try:
-        conn.send(("error", error))
-    except Exception:
-        try:
-            conn.send(("error", RuntimeError(
-                f"{type(error).__name__}: {error}")))
-        except Exception:
-            pass
 
 
 class _FrontendMetrics(ServingMetrics):
@@ -278,7 +253,7 @@ class _FrontendMetrics(ServingMetrics):
         return snap
 
 
-class ShardedEngine:
+class ShardedEngine(ProcessPool):
     """Fan requests out over N worker processes; merge top-k back.
 
     Drop-in for :class:`RecommendationEngine` as far as
@@ -298,6 +273,7 @@ class ShardedEngine:
     """
 
     thread_safe = True
+    role = "scoring worker"
 
     def __init__(
         self,
@@ -308,6 +284,7 @@ class ShardedEngine:
         metrics_seed: int = 0,
         worker_timeout_s: float = 120.0,
     ) -> None:
+        super().__init__(worker_timeout_s)
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
         if template.index is None:
@@ -318,17 +295,13 @@ class ShardedEngine:
             )
         self._template = template
         self.workers = int(workers)
-        self.worker_timeout_s = float(worker_timeout_s)
         self.metrics = _FrontendMetrics(self, seed=metrics_seed)
         self.metrics.touch("fanout_batches")
         self._swap_lock = threading.Lock()
         self._queue: list[RecRequest] = []
         self._completed: list[Recommendation] = []
-        self._closed = False
         self._final_states: list[dict] = []
 
-        context = multiprocessing.get_context(start_method or "fork")
-        self.start_method = context.get_start_method()
         arrays = dict(template.model.state_dict())
         if MATRIX_KEY in arrays:
             raise ValueError(f"model state dict uses reserved key {MATRIX_KEY!r}")
@@ -344,38 +317,28 @@ class ShardedEngine:
         resilience = (
             template.policy.config if template.policy is not None else None
         )
-        self._conns = []
         self._locks = [threading.Lock() for __ in range(workers)]
-        self._procs = []
+        specs = [
+            {
+                "shared": self._shared.meta(),
+                "model": template.model,
+                "dataset": template.dataset,
+                "max_batch_size": template.max_batch_size,
+                "cache_size": worker_cache_size,
+                "max_queue": template.max_queue,
+                "split": template.split,
+                "metrics_seed": metrics_seed + shard + 1,
+                "resilience": resilience,
+                "faults": template.faults,
+                "index_kind": template.index.kind,
+                "index_params": template.index._artifact_params(),
+                "model_version": template.model_version,
+                "checkpoint_path": template.checkpoint_path,
+            }
+            for shard in range(workers)
+        ]
         try:
-            for shard in range(workers):
-                parent_conn, child_conn = context.Pipe()
-                spec = {
-                    "shared": self._shared.meta(),
-                    "model": template.model,
-                    "dataset": template.dataset,
-                    "max_batch_size": template.max_batch_size,
-                    "cache_size": worker_cache_size,
-                    "max_queue": template.max_queue,
-                    "split": template.split,
-                    "metrics_seed": metrics_seed + shard + 1,
-                    "resilience": resilience,
-                    "faults": template.faults,
-                    "index_kind": template.index.kind,
-                    "index_params": template.index._artifact_params(),
-                    "model_version": template.model_version,
-                    "checkpoint_path": template.checkpoint_path,
-                }
-                process = context.Process(
-                    target=_worker_main,
-                    args=(child_conn, spec),
-                    name=f"repro-scoring-worker-{shard}",
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                self._conns.append(parent_conn)
-                self._procs.append(process)
+            self._spawn(_worker_main, specs, "repro-scoring-worker", start_method)
             for shard in range(workers):  # startup handshake
                 self._send(shard, ("stats",))
             for shard in range(workers):
@@ -383,50 +346,6 @@ class ShardedEngine:
         except BaseException:
             self.close()
             raise
-
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-    def _send(self, shard: int, message) -> None:
-        """Send one command to ``shard``, surfacing worker death."""
-        try:
-            self._conns[shard].send(message)
-        except (BrokenPipeError, OSError) as error:
-            process = self._procs[shard] if shard < len(self._procs) else None
-            exitcode = process.exitcode if process is not None else None
-            raise RuntimeError(
-                f"scoring worker {shard} died (exit code {exitcode})"
-            ) from error
-
-    def _recv(self, shard: int):
-        """One reply off ``shard``'s pipe (raises worker-side errors)."""
-        conn = self._conns[shard]
-        deadline = time.monotonic() + self.worker_timeout_s
-        while not conn.poll(0.05):
-            process = self._procs[shard] if shard < len(self._procs) else None
-            if process is not None and not process.is_alive():
-                if conn.poll(0):  # drain a reply racing the exit
-                    break
-                raise RuntimeError(
-                    f"scoring worker {shard} died "
-                    f"(exit code {process.exitcode})"
-                )
-            if time.monotonic() >= deadline:
-                raise RuntimeError(
-                    f"scoring worker {shard} did not reply within "
-                    f"{self.worker_timeout_s:g}s"
-                )
-        try:
-            status, payload = conn.recv()
-        except (EOFError, OSError) as error:
-            raise RuntimeError(
-                f"scoring worker {shard} exited unexpectedly"
-            ) from error
-        if status == "error":
-            if isinstance(payload, BaseException):
-                raise payload
-            raise RuntimeError(str(payload))
-        return payload
 
     def _hold(self, shards) -> ExitStack:
         """Acquire the given shard locks in sorted order (no deadlocks)."""
@@ -723,53 +642,20 @@ class ShardedEngine:
         """Stop every worker and retire the shared segment (idempotent).
 
         Capture each worker's final metrics first (so post-shutdown
-        ``/metrics`` exports keep the totals), ask workers to exit,
-        escalate to terminate on stragglers, then close and unlink the
-        segment — the parent is its owner, so exactly one unlink happens
-        and the resource tracker reports no leaks at interpreter exit.
+        ``/metrics`` exports keep the totals), then run the pool
+        shutdown; the parent owns the segment, so exactly one unlink
+        happens and the resource tracker reports no leaks at
+        interpreter exit.
         """
-        if self._closed:
-            return
-        try:
-            self._final_states = self._worker_states()
-        except Exception:
-            self._final_states = []
-        self._closed = True
-        conns = getattr(self, "_conns", [])
-        for shard, conn in enumerate(conns):
+        if not self._closed:
             try:
-                conn.send(("shutdown",))
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-        for shard, conn in enumerate(conns):
-            try:
-                if conn.poll(timeout):
-                    conn.recv()
-            except (EOFError, OSError):
-                pass
-        for process in getattr(self, "_procs", []):
-            process.join(timeout)
-            if process.is_alive():
-                process.terminate()
-                process.join(1.0)
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
+                self._final_states = self._worker_states()
+            except Exception:
+                self._final_states = []
+        super().close(timeout)
+
+    def _release(self) -> None:
         shared = getattr(self, "_shared", None)
         if shared is not None:
             shared.close()
             shared.unlink()
-
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close(timeout=1.0)
-        except Exception:
-            pass

@@ -1,27 +1,21 @@
-"""Scale-out training execution modes.
+"""The one training loop and its execution modes.
 
-:mod:`repro.train.parallel` provides the deterministic data-parallel
-coordinator/worker machinery behind ``workers=N`` on the training
-configs (``TrainConfig`` / ``ContrastivePretrainConfig`` /
-``JointTrainConfig``) and ``repro train --workers N`` on the CLI.  The
-single-process loops themselves stay in :mod:`repro.core.trainer` and
-:mod:`repro.models.training`; with ``workers=0`` (the default) nothing
-in this package runs and those loops execute byte-identically to every
-previous release.
+:mod:`repro.train.driver` is the epoch driver behind every training
+loop and :mod:`repro.train.stages` the three objectives it steps.
+``workers=0`` (the default) is the driver's in-process pool of one,
+bit-identical to the golden fixtures; ``workers=N`` on a training config
+(or ``repro train --workers N``) steps :mod:`repro.train.parallel`'s
+deterministic data-parallel worker pool instead.
 """
 
 from repro.train.parallel import (
+    ParallelWorkerPool,
     WorkerFailedError,
     pairwise_sum,
-    pretrain_contrastive_parallel,
-    train_joint_parallel,
-    train_next_item_parallel,
 )
 
 __all__ = [
+    "ParallelWorkerPool",
     "WorkerFailedError",
     "pairwise_sum",
-    "pretrain_contrastive_parallel",
-    "train_joint_parallel",
-    "train_next_item_parallel",
 ]

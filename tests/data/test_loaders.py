@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.augment.compose import PairSampler
@@ -154,6 +154,28 @@ class TestContrastiveBatchLoader:
         loader = self.make_loader(tiny_dataset, batch_size=64)
         for batch in loader.epoch():
             assert len(batch.users) >= 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        workers=st.integers(1, 9),
+        worker=st.integers(0, 8),
+        batch_size=st.integers(1, 40),
+    )
+    @example(workers=1, worker=0, batch_size=39)  # 118 users: a 1-user tail
+    def test_num_batches_counts_what_epoch_yields(
+        self, tiny_dataset, workers, worker, batch_size
+    ):
+        """Over shard sizes, including the ``% batch_size == 1`` tails
+        that epoch() skips (a contrastive batch needs a negative)."""
+        loader = ContrastiveBatchLoader(
+            tiny_dataset,
+            PairSampler([Crop(0.7)]),
+            10,
+            batch_size,
+            np.random.default_rng(0),
+            worker_shard=(worker % workers, workers),
+        )
+        assert loader.num_batches == len(list(loader.epoch()))
 
 
 class TestBatchSequences:

@@ -1,6 +1,9 @@
 """Load-test harness: invariant checking + an end-to-end replay."""
 
+import json
 import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -208,3 +211,66 @@ def test_config_validation():
         LoadTestConfig(threads=0)
     with pytest.raises(ValueError):
         LoadTestConfig(pace_speedup=0.0)
+
+
+# ----------------------------------------------------------------------
+# Paced latency runs from the due time
+# ----------------------------------------------------------------------
+STALL_S = 0.3
+
+
+class _StallOnceHandler(BaseHTTPRequestHandler):
+    """Answers every request at once, except the first POST (stalls)."""
+
+    protocol_version = "HTTP/1.1"
+
+    def _reply(self, body: dict) -> None:
+        data = json.dumps(body).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def do_GET(self):  # noqa: N802 - http.server API
+        self._reply({"counters": {}})
+
+    def do_POST(self):  # noqa: N802 - http.server API
+        self.rfile.read(int(self.headers["Content-Length"]))
+        if not self.server.stalled.is_set():
+            self.server.stalled.set()
+            time.sleep(STALL_S)
+        self._reply({"items": [1], "model_version": 1})
+
+    def log_message(self, *args):
+        pass
+
+
+def test_paced_latency_includes_the_wait_behind_a_stall():
+    """Open-loop pacing times each request from its due time: the
+    requests due while the server stalled carry that wait, so the p99
+    shows the stall instead of hiding it behind one slow sample."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _StallOnceHandler)
+    server.stalled = threading.Event()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    events = [
+        {"index": i, "arrival_s": i * 0.002, "kind": "single",
+         "requests": [{"user": 1, "k": 1}]}
+        for i in range(200)
+    ]
+    try:
+        host, port = server.server_address[:2]
+        result = run_loadtest(
+            events, host, port, LoadTestConfig(threads=1, pace=True)
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert len(result.outcomes) == 200
+    latencies = result.percentiles()
+    # ~150 requests fell due during the stall; the slowest of them
+    # waited nearly all of it.
+    assert latencies["p99_ms"] >= 0.8 * STALL_S * 1e3
+    assert latencies["p50_ms"] < latencies["p99_ms"]

@@ -194,19 +194,51 @@ class TestBitIdentity:
         assert_states_differ(state_serial, state_two)
         assert_states_differ(state_two, state_three)
 
-    def test_workers_zero_never_imports_parallel(self, tiny_dataset):
-        """The workers=0 path must not even touch this machinery — the
-        single-process loops stay byte-compatible with the goldens."""
-        import sys
+    def test_workers_zero_forks_nothing_and_shares_no_memory(
+        self, tiny_dataset, monkeypatch
+    ):
+        """workers=0 is the driver's in-process pool of one: every loop
+        trains without starting a process or creating a shared-memory
+        segment (the same instruments do fire at workers=1)."""
+        import multiprocessing.process
+        from multiprocessing.shared_memory import SharedMemory
 
-        model = build_cl4srec(tiny_dataset, mode="joint", workers=0, epochs=1)
-        assert model.cl_config.joint.workers == 0
-        train_joint(model, tiny_dataset, model.cl_config.joint, rng=model._rng)
-        # The delegation guard is `if getattr(config, "workers", 0):` —
-        # verify the config default keeps it false-y.
+        started, created = [], []
+        start, init = multiprocessing.process.BaseProcess.start, SharedMemory.__init__
+
+        def recording_start(process):
+            started.append(process.name)
+            start(process)
+
+        def recording_init(segment, name=None, create=False, size=0, **kwargs):
+            if create:
+                created.append(size)
+            init(segment, name=name, create=create, size=size, **kwargs)
+
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", recording_start
+        )
+        monkeypatch.setattr(SharedMemory, "__init__", recording_init)
+
         assert TrainConfig().workers == 0
         assert ContrastivePretrainConfig().workers == 0
         assert JointTrainConfig().workers == 0
+        pretrain = build_cl4srec(tiny_dataset, mode="pretrain_finetune", epochs=1)
+        pretrain_contrastive(
+            pretrain, tiny_dataset, pretrain.cl_config.pretrain, rng=pretrain._rng
+        )
+        joint = build_cl4srec(tiny_dataset, epochs=1)
+        train_joint(joint, tiny_dataset, joint.cl_config.joint, rng=joint._rng)
+        supervised = SASRec(tiny_dataset, joint.cl_config.sasrec)
+        train_next_item_model(
+            supervised, tiny_dataset, joint.cl_config.sasrec.train,
+            rng=np.random.default_rng(0),
+        )
+        assert started == [] and created == []
+
+        one = build_cl4srec(tiny_dataset, workers=1, epochs=1)
+        train_joint(one, tiny_dataset, one.cl_config.joint, rng=one._rng)
+        assert started and created
 
 
 @pytest.mark.fault_injection
